@@ -129,7 +129,7 @@ func TestSimRevokeUnstarted(t *testing.T) {
 	vm.Enqueue(1, 0, 0, 2*time.Minute)
 	vm.Enqueue(2, 0, 0, 2*time.Minute)
 	// At startupDelay+1m, query 0 is running; 1 and 2 have not started.
-	tags := vm.RevokeUnstarted(vt.StartupDelay + time.Minute)
+	tags := vm.RevokeUnstartedInto(vt.StartupDelay+time.Minute, nil)
 	if len(tags) != 2 || tags[0] != 1 || tags[1] != 2 {
 		t.Fatalf("want tags [1 2], got %v", tags)
 	}
@@ -146,7 +146,7 @@ func TestSimRevokeAtExactStartBoundary(t *testing.T) {
 	vm.Enqueue(0, 0, 0, time.Minute)
 	// A query whose start time equals the observation time has not
 	// started and is revocable.
-	tags := vm.RevokeUnstarted(vt.StartupDelay)
+	tags := vm.RevokeUnstartedInto(vt.StartupDelay, nil)
 	if len(tags) != 1 {
 		t.Fatalf("query starting exactly now must be revocable, got %v", tags)
 	}

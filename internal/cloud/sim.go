@@ -158,17 +158,11 @@ func (vm *SimVM) NextFree(t time.Duration) time.Duration {
 	return free
 }
 
-// RevokeUnstarted removes and returns the tags of queries that have not
-// started executing by time t. Online scheduling calls this on each arrival
-// to rebuild the batch of schedulable queries (§6.3).
-func (vm *SimVM) RevokeUnstarted(t time.Duration) []int {
-	return vm.RevokeUnstartedInto(t, nil)
-}
-
-// RevokeUnstartedInto is RevokeUnstarted appending into a caller-owned
-// buffer: the online scheduler revokes across every VM on every arrival,
-// and this form keeps that sweep allocation-free in steady state. The VM's
-// queue storage is retained for reuse.
+// RevokeUnstartedInto removes the queries that have not started executing
+// by time t and appends their tags to buf. Online scheduling calls this on
+// each arrival to rebuild the batch of schedulable queries (§6.3); the
+// caller-owned buffer keeps that sweep across every VM allocation-free in
+// steady state. The VM's queue storage is retained for reuse.
 func (vm *SimVM) RevokeUnstartedInto(t time.Duration, buf []int) []int {
 	vm.materialize(t)
 	for _, q := range vm.queue {

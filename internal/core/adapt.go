@@ -119,17 +119,12 @@ func (m *Model) Tighten(p float64) (*Model, error) {
 	return m.Adapt(m.Goal.Tighten(p))
 }
 
-// ShiftedModel adapts the model to its goal linearly shifted by wait d
-// (§6.3's linear-shifting optimization, valid for shiftable goals only:
-// scheduling queries that have waited d equals scheduling fresh queries
-// under a goal tightened by d).
-func (m *Model) ShiftedModel(d time.Duration) (*Model, error) {
-	return m.ShiftedModelContext(context.Background(), d)
-}
-
-// ShiftedModelContext is ShiftedModel with cancellation: online streams
-// thread their run context through model acquisition so a cancelled stream
-// does not leave an adaptation running.
+// ShiftedModelContext adapts the model to its goal linearly shifted by
+// wait d (§6.3's linear-shifting optimization, valid for shiftable goals
+// only: scheduling queries that have waited d equals scheduling fresh
+// queries under a goal tightened by d). Online streams thread their run
+// context through model acquisition so a cancelled stream does not leave
+// an adaptation running.
 func (m *Model) ShiftedModelContext(ctx context.Context, d time.Duration) (*Model, error) {
 	if !m.Goal.Shiftable() {
 		return nil, fmt.Errorf("core: goal %s is not linearly shiftable", m.Goal.Name())

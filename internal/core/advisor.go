@@ -184,7 +184,7 @@ type trainSample struct {
 	// actions is the sample's exact optimal schedule — the canonical
 	// search result for (w, goal, env). A warm retrain replays it
 	// verbatim for samples whose draw is unchanged, skipping the search
-	// entirely (see WarmTrain). Nil for samples decoded from v1 files,
+	// entirely (see WarmTrainContext). Nil for samples decoded from v1 files,
 	// which fall back to reuse-assisted re-search.
 	actions []graph.Action
 	// variates holds the unit variates the sample's weighted draw
@@ -315,7 +315,7 @@ func (a *Advisor) TrainContext(ctx context.Context, goal sla.Goal) (*Model, erro
 	// The transposition cache is scoped to this call: suffix optima are
 	// goal-specific, and a per-call cache keeps sequences of Train/Adapt
 	// calls deterministic regardless of what ran before them. (A warm
-	// retrain instead clones the prior epoch's cache — see WarmTrain —
+	// retrain instead clones the prior epoch's cache — see WarmTrainContext —
 	// which the canonical-search invariant makes equally deterministic.)
 	var cache *search.TranspositionCache
 	if !a.cfg.DisableSearchCache && goal.Monotonic() {

@@ -19,8 +19,9 @@ type Clock interface {
 }
 
 // SimClock is a virtual clock advanced explicitly by its driver. The
-// workload replay drivers (Run, RunStreams) advance it to each arrival
-// event's timestamp before handing the event to the stream core.
+// workload replay driver (RunTenants, and Run through it) advances it to
+// each arrival event's timestamp before handing the event to the stream
+// core.
 //
 // A SimClock is owned by a single stream and is not safe for concurrent use.
 type SimClock struct {

@@ -46,11 +46,6 @@ type OnlineOptions struct {
 	// Drift configures workload-drift detection and model hot-swapping
 	// (§6's adaptive loop). Disabled by default; see DriftOptions.
 	Drift DriftOptions
-	// CacheShards is the stripe count of the engine-wide ω-map. Zero
-	// selects DefaultCacheShards; values are rounded up to a power of
-	// two. One stripe reproduces the old single-lock cache — useful only
-	// as a contention measurement baseline.
-	CacheShards int
 	// Shards is the number of engine shards for consistent-hash tenant
 	// placement (RunTenants): worker-pool partitions with shard-local
 	// run queues and stream scratch. Zero selects GOMAXPROCS. Streams
@@ -175,11 +170,10 @@ type augKey struct {
 // each holding a hot-swappable serving epoch for one SLA goal / tenant
 // tier), the shared striped ω-map of derived models, and consistent-hash
 // tenant placement over engine shards. Each tenant stream — a Stream
-// created by NewStream/NewStreamOn, or one run of Run/RunContext/
-// RunStreams/RunTenants — carries its own simulator, arrival bookkeeping,
-// and scratch, and is bound to one registry at open time, so any number of
-// streams proceed concurrently with no serialization beyond the rare
-// shared model build.
+// created by NewStream/NewStreamOn, or one tenant of a RunTenants (or Run)
+// call — carries its own simulator, arrival bookkeeping, and scratch, and
+// is bound to one registry at open time, so any number of streams proceed
+// concurrently with no serialization beyond the rare shared model build.
 //
 // An OnlineScheduler is safe for concurrent use.
 type OnlineScheduler struct {
@@ -232,7 +226,7 @@ type OnlineScheduler struct {
 }
 
 // DefaultRegistry is the name of the registry every engine starts with —
-// the one NewStream, Run, and RunStreams bind to.
+// the one NewStream, Run, and a Tenant with an empty Registry bind to.
 const DefaultRegistry = "default"
 
 // NewOnlineScheduler returns a serving engine over the base model. The
@@ -266,7 +260,7 @@ func NewOnlineScheduler(base *Model, opts OnlineOptions) *OnlineScheduler {
 			break
 		}
 	}
-	o.cache.init(opts.CacheShards)
+	o.cache.init(DefaultCacheShards)
 	o.share.init()
 	o.initShards(opts.Shards)
 	o.registry = o.attachRegistry(DefaultRegistry, NewModelRegistry(base))
@@ -301,7 +295,7 @@ func (o *OnlineScheduler) attachRegistry(name string, r *ModelRegistry) *ModelRe
 // or tenant tier — serving base as its epoch 0 with its own drift-retrain
 // lifecycle and (optionally, via ModelRegistry.CheckpointTo) its own
 // checkpoint store. Streams bind to a registry at open time (NewStreamOn,
-// RunOn, Tenant.Registry); the engine's ω-map and worker shards are shared
+// Tenant.Registry); the engine's ω-map and worker shards are shared
 // across registries, and drift retrains that converge on the same (goal,
 // mix) are built once and shared (see ScaleStats.SharedRetrains).
 //
@@ -467,100 +461,15 @@ func (o *OnlineScheduler) ScaleStats() ScaleStats {
 }
 
 // Run schedules the workload's queries at their recorded arrival times and
-// simulates execution to completion. Many Run calls may proceed
-// concurrently; each gets its own stream.
+// simulates execution to completion: a one-tenant RunTenants on the
+// default registry. Many Run calls may proceed concurrently; each gets its
+// own stream.
 func (o *OnlineScheduler) Run(w *workload.Workload) (*OnlineResult, error) {
-	return o.RunContext(context.Background(), w)
-}
-
-// RunContext is Run with cancellation: between arrival events (and inside
-// any model acquisition) a cancelled ctx aborts the stream, releases its
-// simulated VMs, and returns ctx.Err().
-func (o *OnlineScheduler) RunContext(ctx context.Context, w *workload.Workload) (*OnlineResult, error) {
-	return o.runOn(ctx, o.registry, w)
-}
-
-// RunOn is RunContext against a named registry: the stream binds to that
-// registry's serving epochs (its goal, its drift lifecycle) for its whole
-// life.
-func (o *OnlineScheduler) RunOn(ctx context.Context, registry string, w *workload.Workload) (*OnlineResult, error) {
-	r := o.RegistryNamed(registry)
-	if r == nil {
-		return nil, fmt.Errorf("core: unknown registry %q", registry)
-	}
-	return o.runOn(ctx, r, w)
-}
-
-// runOn replays one workload as a stream bound to reg.
-func (o *OnlineScheduler) runOn(ctx context.Context, reg *ModelRegistry, w *workload.Workload) (*OnlineResult, error) {
-	if len(w.Templates) != len(o.env.Templates) {
-		return nil, fmt.Errorf("core: online workload has %d templates, model expects %d", len(w.Templates), len(o.env.Templates))
-	}
-	clk := &SimClock{}
-	s := o.acquireStreamOn(reg, &o.pool, clk)
-	defer o.releaseStream(s, &o.pool)
-	s.Reserve(len(w.Queries))
-	q := newArrivalQueue(w.Queries)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t, batch, ok := q.next()
-		if !ok {
-			break
-		}
-		clk.Advance(t)
-		if err := s.Submit(ctx, batch...); err != nil {
-			return nil, err
-		}
-	}
-	return s.Finish(), nil
-}
-
-// RunStreams schedules many independent tenant streams concurrently over a
-// bounded worker pool (parallelism <= 0 selects GOMAXPROCS; the pool is the
-// same engine training uses). Results are positional. Per-stream results
-// are deterministic for any parallelism: each stream's schedule depends
-// only on its own arrivals and the (deterministically built) models, and
-// the stream-local counters never observe engine scheduling. The first
-// stream error cancels the remaining streams.
-func (o *OnlineScheduler) RunStreams(ctx context.Context, streams []*workload.Workload, parallelism int) ([]*OnlineResult, error) {
-	results := make([]*OnlineResult, len(streams))
-	err := forEach(ctx, parallelism, len(streams), func(i int) error {
-		res, err := o.RunContext(ctx, streams[i])
-		if err != nil {
-			return fmt.Errorf("core: online stream %d: %w", i, err)
-		}
-		results[i] = res
-		return nil
-	})
+	res, err := o.RunTenants(context.Background(), []Tenant{{Workload: w}})
 	if err != nil {
 		return nil, err
 	}
-	return results, nil
-}
-
-// RunStreamsOn is RunStreams with every stream bound to the named registry.
-// For mixed tiers — or for consistent-hash shard placement and live
-// rebalancing — use RunTenants, which binds per tenant.
-func (o *OnlineScheduler) RunStreamsOn(ctx context.Context, registry string, streams []*workload.Workload, parallelism int) ([]*OnlineResult, error) {
-	r := o.RegistryNamed(registry)
-	if r == nil {
-		return nil, fmt.Errorf("core: unknown registry %q", registry)
-	}
-	results := make([]*OnlineResult, len(streams))
-	err := forEach(ctx, parallelism, len(streams), func(i int) error {
-		res, err := o.runOn(ctx, r, streams[i])
-		if err != nil {
-			return fmt.Errorf("core: online stream %d: %w", i, err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return res[0], nil
 }
 
 // NewStream opens an event-driven tenant stream against the engine's
@@ -1404,9 +1313,9 @@ type cacheShard struct {
 	augmented map[augModelKey]*modelEntry
 }
 
-// DefaultCacheShards is the ω-map stripe count when OnlineOptions.CacheShards
-// is zero: enough stripes that even 10k concurrent streams rarely collide on
-// a lock, at a memory cost of a few empty maps.
+// DefaultCacheShards is the ω-map stripe count of every engine: enough
+// stripes that even 10k concurrent streams rarely collide on a lock, at a
+// memory cost of a few empty maps.
 const DefaultCacheShards = 64
 
 // modelCache is the engine-wide ω-map (§6.3.1) shared by every stream,
@@ -1420,14 +1329,11 @@ type modelCache struct {
 	builds atomic.Int64
 }
 
-// init sizes the stripe array. shards is rounded up to a power of two;
-// shards <= 0 selects DefaultCacheShards. shards == 1 degenerates to the
-// old single-lock ω-map — kept reachable as the measurement baseline for
-// the striped-vs-global contention numbers in EXPERIMENTS.md.
+// init sizes the stripe array, rounding shards up to a power of two.
+// Engines always pass DefaultCacheShards; shards == 1 degenerates to a
+// single-lock ω-map, which the contention benchmark and the determinism
+// pins build in-package as a baseline.
 func (c *modelCache) init(shards int) {
-	if shards <= 0 {
-		shards = DefaultCacheShards
-	}
 	n := 1
 	for n < shards {
 		n <<= 1

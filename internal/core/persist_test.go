@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -133,10 +134,10 @@ func TestModelRoundTripAllGoalFamilies(t *testing.T) {
 			// Shiftable goals: adaptation from persisted training data is
 			// bit-identical to adaptation from live training data.
 			if goal.Shiftable() {
-				s1, err1 := m.ShiftedModel(30 * time.Second)
-				s2, err2 := lm.ShiftedModel(30 * time.Second)
+				s1, err1 := m.ShiftedModelContext(context.Background(), 30*time.Second)
+				s2, err2 := lm.ShiftedModelContext(context.Background(), 30*time.Second)
 				if err1 != nil || err2 != nil {
-					t.Fatalf("ShiftedModel: %v, %v", err1, err2)
+					t.Fatalf("ShiftedModelContext: %v, %v", err1, err2)
 				}
 				if s1.Dump() != s2.Dump() {
 					t.Fatal("shifted models diverge: persisted training data is not faithful")

@@ -11,12 +11,13 @@ import (
 
 // forEach runs fn(i) for every i in [0, n) across a pool of worker
 // goroutines. It is the execution engine behind training, adaptive
-// re-training, and strategy profiling: each index is an independent unit of
-// work (one sample workload's exact search), so the pool hands out indices
-// from an atomic counter and workers write results into caller-owned,
-// per-index slots — no locks on the hot path, and the caller folds results
-// in index order afterwards so the outcome is identical for any worker
-// count.
+// re-training, strategy profiling, and serving (RunTenants passes
+// workers == n: one long-lived worker per engine shard). In training each
+// index is an independent unit of work (one sample workload's exact
+// search), so the pool hands out indices from an atomic counter and
+// workers write results into caller-owned, per-index slots — no locks on
+// the hot path, and the caller folds results in index order afterwards so
+// the outcome is identical for any worker count.
 //
 // workers <= 0 selects runtime.GOMAXPROCS(0). The first error cancels the
 // remaining work and is returned; a canceled ctx surfaces as its ctx.Err().
@@ -78,23 +79,6 @@ func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 		return firstErr
 	}
 	return ctx.Err()
-}
-
-// spawnWorkers starts one goroutine per worker index and returns the group
-// to wait on. Unlike forEach — which hands out independent work items from
-// a counter — each worker here is a long-lived loop with an identity: the
-// sharded serving layer runs one worker per engine shard, each draining its
-// own shard's run queue (see RunTenants).
-func spawnWorkers(n int, fn func(worker int)) *sync.WaitGroup {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for w := 0; w < n; w++ {
-		go func() {
-			defer wg.Done()
-			fn(w)
-		}()
-	}
-	return &wg
 }
 
 // searchCacheGeneration is the epoch size of the transposition-cache

@@ -90,7 +90,7 @@ type ModelRegistry struct {
 	breakerOpens, breakerCloses        atomic.Int64
 	checkpointRetries                  atomic.Int64
 
-	// Retrain cost and warm-reuse accounting (see WarmTrain): per-retrain
+	// Retrain cost and warm-reuse accounting (see WarmTrainContext): per-retrain
 	// wall time and the warm/cold sample and cache-hit split of the last
 	// successful retrain, plus running totals.
 	lastRetrainMS, retrainMSTotal        atomic.Int64
@@ -302,23 +302,15 @@ func (r *ModelRegistry) WarmStart(ms *store.ModelStore) (*ModelEpoch, error) {
 	return e, nil
 }
 
-// TriggerRetrain starts a background retrain toward mix unless one is
-// already in flight, and reports whether this call started it. On success
-// the result is hot-swapped in; on failure the current epoch keeps serving
-// and the error is retained in Stats. The retrain runs under ctx — pass a
-// context that outlives the triggering arrival (the engine passes its
-// background context, not the stream's, so a finishing stream does not
-// abort a retrain other streams will benefit from).
-func (r *ModelRegistry) TriggerRetrain(ctx context.Context, mix []float64) bool {
-	started, _ := r.triggerRetrain(ctx, mix, 0)
-	return started
-}
-
-// triggerRetrain is TriggerRetrain also carrying the EMD observed at the
-// drift trigger, recorded in the resulting epoch's checkpoint lineage. It
-// reports whether this call started a retrain, and — when it did not —
-// whether the retry discipline suppressed it (as opposed to one already
-// being in flight).
+// triggerRetrain starts a background retrain toward mix unless one is
+// already in flight. On success the result is hot-swapped in; on failure
+// the current epoch keeps serving and the error is retained in Stats. The
+// retrain runs under ctx — the engine passes its background context, not
+// the stream's, so a finishing stream does not abort a retrain other
+// streams will benefit from. emd is the EMD observed at the drift trigger,
+// recorded in the resulting epoch's checkpoint lineage. It reports whether
+// this call started a retrain, and — when it did not — whether the retry
+// discipline suppressed it (as opposed to one already being in flight).
 func (r *ModelRegistry) triggerRetrain(ctx context.Context, mix []float64, emd float64) (started, suppressed bool) {
 	if !r.admitTrigger() {
 		return false, true
@@ -337,18 +329,13 @@ func (r *ModelRegistry) triggerRetrain(ctx context.Context, mix []float64, emd f
 	return true, false
 }
 
-// errRetrainInFlight reports that RetrainNow found another retrain running;
+// errRetrainInFlight reports that retrainNow found another retrain running;
 // callers treat it as "someone else is already handling this drift".
 var errRetrainInFlight = errors.New("core: a drift retrain is already in flight")
 
-// RetrainNow is TriggerRetrain running synchronously: the swap (or failure)
-// has happened by the time it returns. Streams configured with
-// DriftOptions.Synchronous use it so drift recovery is deterministic.
-func (r *ModelRegistry) RetrainNow(ctx context.Context, mix []float64) error {
-	return r.retrainNow(ctx, mix, 0)
-}
-
-// retrainNow is RetrainNow also carrying the trigger EMD for lineage. It
+// retrainNow is triggerRetrain running synchronously: the swap (or
+// failure) has happened by the time it returns. Streams configured with
+// DriftOptions.Synchronous use it so drift recovery is deterministic. It
 // returns errRetrainSuppressed when the retry discipline swallowed the
 // trigger without attempting a retrain.
 func (r *ModelRegistry) retrainNow(ctx context.Context, mix []float64, emd float64) error {
@@ -458,7 +445,7 @@ type RegistryStats struct {
 	LastRetrainMS, TotalRetrainMS int64
 	// WarmSamples and ColdSamples split the training samples of all
 	// successful retrains into warm replays (prior-epoch search reused,
-	// see WarmTrain) and fresh solves. RetrainCacheHits/Misses total the
+	// see WarmTrainContext) and fresh solves. RetrainCacheHits/Misses total the
 	// cross-epoch transposition-cache outcomes of those retrains —
 	// together they quantify how much drift recovery the warm path
 	// avoided recomputing.
@@ -502,7 +489,7 @@ func (r *ModelRegistry) Stats() RegistryStats {
 // retains training data so the linear-shifting optimization keeps working
 // against it after the swap.
 //
-// The retrain is warm (see WarmTrain): it re-seeds from the superseded
+// The retrain is warm (see WarmTrainContext): it re-seeds from the superseded
 // epoch's transposition cache and replays unchanged sample searches, which
 // cuts drift-recovery latency without changing the result — the warm model
 // is bit-identical in serving content to a cold retrain. Goals or configs

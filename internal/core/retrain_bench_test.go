@@ -67,7 +67,7 @@ func BenchmarkColdRetrain(b *testing.B) {
 }
 
 // BenchmarkWarmRetrain measures the default drift response: cross-epoch
-// cache seeding plus sample-level replay (see WarmTrain). The reported
+// cache seeding plus sample-level replay (see WarmTrainContext). The reported
 // warm_samples and cache_hit_rate metrics show where the speedup over
 // BenchmarkColdRetrain comes from.
 func BenchmarkWarmRetrain(b *testing.B) {

@@ -88,7 +88,7 @@ func BenchmarkOnlineArrival(b *testing.B) {
 }
 
 // BenchmarkOnlineMultiStream measures the multi-tenant serving engine: K
-// concurrent tenant streams over the shared worker pool, fresh-batch
+// concurrent tenant streams over the engine's shards, fresh-batch
 // arrivals (the steady-state path). arrivals/sec is the headline throughput
 // metric CI persists in BENCH_serving.json; the streams=1 case is the
 // single-tenant baseline the 16-stream acceptance bar compares against.
@@ -102,14 +102,15 @@ func BenchmarkOnlineMultiStream(b *testing.B) {
 				w := workload.NewSampler(m.Env().Templates, int64(17+i)).Uniform(n)
 				ws[i] = w.WithArrivals(workload.FixedDelayArrivals(n, 7*time.Minute))
 			}
+			tenants := asTenants(ws)
 			o := NewOnlineScheduler(m, DefaultOnlineOptions())
-			if _, err := o.RunStreams(context.Background(), ws, 0); err != nil {
+			if _, err := o.RunTenants(context.Background(), tenants); err != nil {
 				b.Fatal(err) // warm pools before measuring
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := o.RunStreams(context.Background(), ws, 0); err != nil {
+				if _, err := o.RunTenants(context.Background(), tenants); err != nil {
 					b.Fatal(err)
 				}
 			}

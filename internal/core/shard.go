@@ -43,8 +43,9 @@ func HashTenantID(name string) TenantID {
 // that drives placement, a registry binding (the tenant's SLA tier), and
 // the arrival stream to replay.
 type Tenant struct {
-	// ID places the tenant on the ring. Tenants of one RunTenants call
-	// must have distinct IDs.
+	// ID places the tenant on the ring and names it in error text;
+	// nothing else reads it. Tenants of one RunTenants call may share an
+	// ID — they then share a shard, and each keeps its own stream.
 	ID TenantID
 	// Registry names the model registry the tenant's stream binds to; ""
 	// binds to DefaultRegistry.
@@ -207,11 +208,12 @@ func (r *tenantRun) finish(idx int, res *OnlineResult) {
 // mid-run. Results are positional and bit-deterministic for any shard
 // count, rebalance timing, or concurrent engine load: a stream's schedule
 // depends only on its own arrivals and the deterministically built models.
-// The first stream error cancels the run.
+// The first stream error cancels the run; a cancelled ctx aborts every
+// stream, releases its simulated VMs, and returns ctx.Err().
 //
-// This is the scale-out counterpart of RunStreams: same per-stream
-// semantics, but placement, scratch locality, and worker count are
-// organized for 10k+ concurrent tenants.
+// RunTenants is the engine's one replay driver: Run is a one-tenant call,
+// and placement, scratch locality, and worker count are organized for
+// 10k+ concurrent tenants.
 func (o *OnlineScheduler) RunTenants(ctx context.Context, tenants []Tenant) ([]*OnlineResult, error) {
 	if len(tenants) == 0 {
 		return nil, nil
@@ -251,19 +253,20 @@ func (o *OnlineScheduler) RunTenants(ctx context.Context, tenants []Tenant) ([]*
 	for i := range slots {
 		run.queues[ring.shardOf(slots[i].id)] <- &slots[i]
 	}
-	wg := spawnWorkers(len(o.shards), func(sh int) {
+	// One long-lived worker per shard, each draining its own run queue.
+	// Workers return nil; run.err and ctx carry the outcome.
+	_ = forEach(ctx, len(o.shards), len(o.shards), func(sh int) error {
 		for {
 			select {
 			case <-run.done:
-				return
+				return nil
 			case <-ctx.Done():
-				return
+				return nil
 			case slot := <-run.queues[sh]:
 				o.driveSlot(ctx, run, slot, sh)
 			}
 		}
 	})
-	wg.Wait()
 	// Cancellation can leave slots parked in queues or mid-stream. The
 	// workers have exited, so the slots are exclusively ours: return their
 	// scratch so ActiveStreams stays truthful.

@@ -45,18 +45,14 @@ import (
 // across searches and reuse can prune the optimum — so they fall back to a
 // cold train, explicitly counted in Model.ColdSamples.
 
-// WarmTrain trains a model for the advisor's configuration (typically the
-// drifted arrival mix in SampleWeights), warm-started from prior — the
-// epoch being replaced. When the (goal, environment, config) combination
-// supports warm reuse, the prior epoch's transposition cache and retained
-// sample searches accelerate training; otherwise this is exactly Train.
-// Either way the returned model is bit-identical in serving content to a
-// cold Train of the same configuration, at any Parallelism.
-func (a *Advisor) WarmTrain(goal sla.Goal, prior *Model) (*Model, error) {
-	return a.WarmTrainContext(context.Background(), goal, prior)
-}
-
-// WarmTrainContext is WarmTrain with cancellation.
+// WarmTrainContext trains a model for the advisor's configuration
+// (typically the drifted arrival mix in SampleWeights), warm-started from
+// prior — the epoch being replaced. When the (goal, environment, config)
+// combination supports warm reuse, the prior epoch's transposition cache
+// and retained sample searches accelerate training; otherwise this is
+// exactly TrainContext. Either way the returned model is bit-identical in
+// serving content to a cold Train of the same configuration, at any
+// Parallelism.
 func (a *Advisor) WarmTrainContext(ctx context.Context, goal sla.Goal, prior *Model) (*Model, error) {
 	if !a.warmEligible(goal, prior) {
 		return a.TrainContext(ctx, goal)

@@ -180,7 +180,7 @@ func TestWarmRetrainDuringHotSwaps(t *testing.T) {
 
 	// One deterministic success first, so counter assertions can't race a
 	// fully suppressed hammer.
-	if err := r.RetrainNow(ctx, []float64{0.6, 0.3, 0.1}); err != nil {
+	if err := r.retrainNow(ctx, []float64{0.6, 0.3, 0.1}, 0); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -197,7 +197,7 @@ func TestWarmRetrainDuringHotSwaps(t *testing.T) {
 				}
 				// In-flight and suppressed triggers are expected under
 				// contention; real retrain failures are not.
-				if err := r.RetrainNow(ctx, mix); err != nil &&
+				if err := r.retrainNow(ctx, mix, 0); err != nil &&
 					err != errRetrainInFlight && err != errRetrainSuppressed {
 					t.Error(err)
 					return

@@ -17,7 +17,7 @@ import (
 )
 
 // ServeThroughput measures multi-tenant serving throughput: K concurrent
-// fixed-seed tenant streams over the engine's shared worker pool, reporting
+// fixed-seed tenant streams over the engine's shards, reporting
 // total arrival throughput, speedup over the single-stream baseline, the
 // p50/p99 per-arrival advisor latency, and the SLA violation rate. Arrival
 // gaps exceed query latencies, so every arrival takes the steady-state
@@ -37,17 +37,13 @@ func (c *Config) ServeThroughput() (*Table, error) {
 	}
 	baseline := 0.0
 	for _, k := range []int{1, 4, 16} {
-		ws := make([]*workload.Workload, k)
-		for i := range ws {
-			w := workload.NewSampler(s.env.Templates, c.Seed+int64(i)*101).Uniform(n)
-			ws[i] = w.WithArrivals(workload.FixedDelayArrivals(n, 7*time.Minute))
-		}
+		tenants := steadyTenants(s, c.Seed, k, n)
 		o := core.NewOnlineScheduler(base, core.DefaultOnlineOptions())
-		if _, err := o.RunStreams(context.Background(), ws, 0); err != nil {
-			return nil, err // warm the engine's stream pool and scratch
+		if _, err := o.RunTenants(context.Background(), tenants); err != nil {
+			return nil, err // warm the engine's shard pools and scratch
 		}
 		start := time.Now()
-		results, err := o.RunStreams(context.Background(), ws, 0)
+		results, err := o.RunTenants(context.Background(), tenants)
 		if err != nil {
 			return nil, err
 		}
@@ -84,6 +80,21 @@ func (c *Config) ServeThroughput() (*Table, error) {
 	return t, nil
 }
 
+// steadyTenants builds k fixed-seed tenants of n uniform-mix arrivals,
+// 7 minutes apart so every arrival takes the fresh-batch path. IDs hash
+// distinct names, so tenants spread over the engine's shards.
+func steadyTenants(s *setup, seed int64, k, n int) []core.Tenant {
+	tenants := make([]core.Tenant, k)
+	for i := range tenants {
+		w := workload.NewSampler(s.env.Templates, seed+int64(i)*101).Uniform(n)
+		tenants[i] = core.Tenant{
+			ID:       core.HashTenantID(fmt.Sprintf("tenant-%05d", i)),
+			Workload: w.WithArrivals(workload.FixedDelayArrivals(n, 7*time.Minute)),
+		}
+	}
+	return tenants
+}
+
 // durUS renders nanoseconds as rounded microseconds.
 func durUS(ns float64) string {
 	return time.Duration(ns).Round(time.Microsecond).String()
@@ -93,8 +104,9 @@ func durUS(ns float64) string {
 // placed onto engine shards by consistent hashing on tenant ID (one shard
 // per core, shard-local run queues and scratch, striped ω-map), swept from
 // 1 to 10k concurrent streams. Each row also runs the unsharded baseline —
-// one shard, single-stripe ω-map: the pre-scale-out engine — so the table
-// is the before/after evidence for the striped-cache + sharding work.
+// one shard, the pre-scale-out worker shape — so the table is the
+// before/after evidence for the sharding work. The ω-map keeps its stripes
+// in both runs; the fresh-batch path never reaches it.
 // Arrival gaps exceed query latencies (steady-state fresh-batch path); the
 // per-stream arrival count shrinks as K grows so every row does the same
 // total work.
@@ -116,10 +128,9 @@ func (c *Config) ServeScaleOut() (*Table, error) {
 		Title:  fmt.Sprintf("Scale-out: K tenant streams, consistent-hash placement over %d shards (striped ω-map)", runtime.GOMAXPROCS(0)),
 		Header: []string{"streams", "arrivals", "sharded arr/s", "speedup", "unsharded arr/s", "sharded/unsharded"},
 	}
-	run := func(tenants []core.Tenant, shards, cacheShards int) (float64, error) {
+	run := func(tenants []core.Tenant, shards int) (float64, error) {
 		opts := core.DefaultOnlineOptions()
 		opts.Shards = shards
-		opts.CacheShards = cacheShards
 		o := core.NewOnlineScheduler(base, opts)
 		if _, err := o.RunTenants(context.Background(), tenants); err != nil {
 			return 0, err // warm shard pools and scratch
@@ -145,20 +156,12 @@ func (c *Config) ServeScaleOut() (*Table, error) {
 		if n < 4 {
 			n = 4
 		}
-		ws := make([]*workload.Workload, k)
-		for i := range ws {
-			w := workload.NewSampler(s.env.Templates, c.Seed+int64(i)*101).Uniform(n)
-			ws[i] = w.WithArrivals(workload.FixedDelayArrivals(n, 7*time.Minute))
-		}
-		tenants := make([]core.Tenant, k)
-		for i := range tenants {
-			tenants[i] = core.Tenant{ID: core.HashTenantID(fmt.Sprintf("tenant-%05d", i)), Workload: ws[i]}
-		}
-		sharded, err := run(tenants, 0, 0)
+		tenants := steadyTenants(s, c.Seed, k, n)
+		sharded, err := run(tenants, 0)
 		if err != nil {
 			return nil, err
 		}
-		unsharded, err := run(tenants, 1, 1)
+		unsharded, err := run(tenants, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +175,6 @@ func (c *Config) ServeScaleOut() (*Table, error) {
 			fmt.Sprintf("%.0f", unsharded),
 			fmt.Sprintf("%.2fx", sharded/unsharded))
 	}
-	t.Note("sharded = one shard per core + %d ω-map stripes; unsharded = 1 shard + single-lock ω-map (the pre-scale-out engine)", core.DefaultCacheShards)
 	t.Note("fixed-seed tenants; speedup column is vs. this run's own 1-stream row; see EXPERIMENTS.md for the recorded runner")
 	t.Fprint(c.Out)
 	return t, nil

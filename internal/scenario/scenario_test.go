@@ -122,9 +122,8 @@ func TestCatalogGenerateDeterministic(t *testing.T) {
 
 // Every catalog scenario must replay bit-identically at any engine
 // concurrency: per-tenant results are compared across Shards ∈ {1, 4,
-// GOMAXPROCS} (RunTenants) and, for single-tier scenarios, Parallelism ∈
-// {1, 4, GOMAXPROCS} (RunStreams) — the acceptance pin for the whole
-// harness, and under -race a concurrency bug probe per scenario.
+// GOMAXPROCS} — the acceptance pin for the whole harness, and under -race
+// a concurrency bug probe per scenario.
 func TestCatalogBitDeterminism(t *testing.T) {
 	templates := workload.DefaultTemplates(5)
 	gomax := runtime.GOMAXPROCS(0)
@@ -132,12 +131,6 @@ func TestCatalogBitDeterminism(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			tenants := spec.Generate(templates)
-			singleTier := true
-			for _, ts := range spec.Tenants {
-				if ts.Registry != "" {
-					singleTier = false
-				}
-			}
 			var fingerprints [][]string
 			record := func(label string, results []*core.OnlineResult, err error) {
 				if err != nil {
@@ -153,17 +146,6 @@ func TestCatalogBitDeterminism(t *testing.T) {
 				o := newEngine(t, &spec, shards)
 				results, err := o.RunTenants(context.Background(), tenants)
 				record(fmt.Sprintf("shards=%d", shards), results, err)
-			}
-			if singleTier {
-				ws := make([]*workload.Workload, len(tenants))
-				for i := range tenants {
-					ws[i] = tenants[i].Workload
-				}
-				for _, p := range []int{1, 4, gomax} {
-					o := newEngine(t, &spec, 0)
-					results, err := o.RunStreams(context.Background(), ws, p)
-					record(fmt.Sprintf("parallelism=%d", p), results, err)
-				}
 			}
 			for level := 1; level < len(fingerprints); level++ {
 				for i := range fingerprints[0] {

@@ -811,7 +811,7 @@ func (s *Searcher) buildPath(res *Result, w *workload.Workload, opts Options) er
 // lexicographically least optimal schedule regardless of cache or reuse
 // state — so the stored actions ARE today's search result, and warm
 // retraining replays unchanged samples in O(path) instead of re-searching
-// (see core's WarmTrain). The returned result carries no Closed set;
+// (see core's WarmTrainContext). The returned result carries no Closed set;
 // callers that need reuse information forward the original search's.
 func (s *Searcher) Replay(w *workload.Workload, actions []graph.Action, cost float64, rec *PendingSuffixes) (*Result, error) {
 	if !s.prob.Goal.Monotonic() {

@@ -51,7 +51,7 @@ func (s *Sampler) Weighted(m int, weights []float64) *Workload {
 // (variates, weights): WeightedFromVariates rebins the same variates under
 // different weights without reconstructing the sampler, which is how a
 // warm retrain re-draws every sample workload under a drifted mix without
-// paying 500 rand-source seedings (see core's WarmTrain).
+// paying 500 rand-source seedings (see core's WarmTrainContext).
 func (s *Sampler) WeightedVariates(m int, weights []float64) (*Workload, []float64) {
 	if len(weights) != len(s.templates) {
 		panic(fmt.Sprintf("workload: Weighted got %d weights for %d templates", len(weights), len(s.templates)))
